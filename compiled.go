@@ -69,13 +69,15 @@ func (cp *CompiledPolicy) Hash() string { return cp.hash }
 // NumRules returns the number of compiled rules.
 func (cp *CompiledPolicy) NumRules() int { return cp.rules }
 
-// evalState bundles the per-request evaluation machinery (secure reader and
-// streaming evaluator) whose internal tables are reused across requests
-// through a sync.Pool: concurrent AuthorizedView calls do not re-allocate the
-// reader caches and evaluator maps, they only reset them.
+// evalState bundles the per-request evaluation machinery (secure reader,
+// Skip-index decoder and streaming evaluator) whose internal tables are
+// reused across requests through a sync.Pool: concurrent AuthorizedView
+// calls do not re-allocate the reader caches, decoder buffers and intern
+// table, or evaluator state, they only reset them.
 type evalState struct {
-	reader *secure.Reader
-	eval   *core.Evaluator
+	reader  *secure.Reader
+	decoder skipindex.Decoder
+	eval    *core.Evaluator
 }
 
 var evalPool = sync.Pool{New: func() any { return &evalState{} }}
@@ -157,8 +159,8 @@ func runViewPipeline(ctx context.Context, src secure.ChunkSource, key Key, cp *C
 	if err != nil {
 		return nil, nil, err
 	}
-	decoder, err := skipindex.NewDecoder(st.reader)
-	if err != nil {
+	decoder := &st.decoder
+	if err := decoder.Reset(st.reader); err != nil {
 		return nil, nil, err
 	}
 	tr := coreOpts.Trace
@@ -258,8 +260,9 @@ func (p *Protected) AuthorizedViewsCompiled(key Key, views []CompiledView) ([]Vi
 // evaluator per subject), pooled across scans like evalState is for solo
 // evaluations.
 type multiState struct {
-	reader *secure.Reader
-	evals  []*core.Evaluator
+	reader  *secure.Reader
+	decoder skipindex.Decoder
+	evals   []*core.Evaluator
 }
 
 // evaluator returns the i-th pooled evaluator, growing the pool as needed.

@@ -187,6 +187,90 @@ func (e *authEntry) status() entryStatus {
 type authLevel struct {
 	depth   int
 	entries []*authEntry
+	// refs counts the pending snapshots holding the level and popped records
+	// that the evaluator's stack let go of it: the level is recycled once
+	// both say nothing references it.
+	refs   int
+	popped bool
+}
+
+// addEntry appends an entry to the level, reusing a recycled one (with its
+// preds backing array) when the level has one.
+func (l *authLevel) addEntry() *authEntry {
+	n := len(l.entries)
+	if n < cap(l.entries) {
+		l.entries = l.entries[:n+1]
+		if e := l.entries[n]; e != nil {
+			preds := e.preds[:0]
+			*e = authEntry{preds: preds}
+			return e
+		}
+	} else {
+		l.entries = append(l.entries, nil)
+	}
+	e := &authEntry{}
+	l.entries[n] = e
+	return e
+}
+
+// levelPool recycles Authorization Stack levels (with their entries) and
+// the pending-node snapshots that reference them. A level goes back to the
+// pool only when it is off the stack and no snapshot holds it, so a
+// snapshot never observes a level being reused.
+type levelPool struct {
+	free  []*authLevel
+	snaps [][]*authLevel
+}
+
+// get returns an empty level for the given depth.
+func (p *levelPool) get(depth int) *authLevel {
+	if n := len(p.free); n > 0 {
+		l := p.free[n-1]
+		p.free = p.free[:n-1]
+		l.depth, l.entries, l.refs, l.popped = depth, l.entries[:0], 0, false
+		return l
+	}
+	return &authLevel{depth: depth}
+}
+
+// pop records that the stack let go of l.
+func (p *levelPool) pop(l *authLevel) {
+	l.popped = true
+	p.put(l)
+}
+
+func (p *levelPool) put(l *authLevel) {
+	if l.popped && l.refs == 0 {
+		p.free = append(p.free, l)
+	}
+}
+
+// snapshot copies the stack levels for a pending node and pins them.
+func (p *levelPool) snapshot(levels []*authLevel) []*authLevel {
+	var snap []*authLevel
+	if n := len(p.snaps); n > 0 {
+		snap = p.snaps[n-1][:0]
+		p.snaps = p.snaps[:n-1]
+	}
+	snap = append(snap, levels...)
+	for _, l := range snap {
+		l.refs++
+	}
+	return snap
+}
+
+// release unpins a snapshot's levels and recycles the snapshot. A nil pool
+// (a builder driven without an evaluator) only drops the reference.
+func (p *levelPool) release(snap []*authLevel) {
+	if p == nil || snap == nil {
+		return
+	}
+	for _, l := range snap {
+		l.refs--
+		p.put(l)
+	}
+	clear(snap)
+	p.snaps = append(p.snaps, snap)
 }
 
 // decideLevels implements the conflict-resolution algorithm of Figure 4 over

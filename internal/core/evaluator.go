@@ -104,10 +104,13 @@ type Evaluator struct {
 	skipper xmlstream.Skipper
 
 	// tokenStack[d] holds the tokens that can fire on events at depth d+1;
-	// tokenStack[0] is the initial token set.
+	// tokenStack[0] is the initial token set. Popped levels stay in the
+	// backing array and are reused by the next element opened at that depth.
 	tokenStack [][]automaton.Token
-	// authLevels[d-1] is the Authorization Stack level created at depth d.
+	// authLevels[d-1] is the Authorization Stack level created at depth d;
+	// levels recycles them together with pending-node snapshots.
 	authLevels []*authLevel
+	levels     levelPool
 	// serials[d-1] is the serial number of the open element at depth d.
 	serials    []uint64
 	nextSerial uint64
@@ -142,8 +145,10 @@ func NewCompiledEvaluator(reader xmlstream.EventReader, cp *CompiledPolicy, opts
 // Reset re-arms the evaluator for a fresh run over a new reader, reusing the
 // allocated maps and stacks of the previous run. It makes the evaluator
 // sync.Pool-friendly: a server can keep a pool of evaluators and pay the
-// per-request allocations only once per pooled instance. The previous run's
-// Result remains valid (finalize exports the view into fresh nodes).
+// per-request allocations only once per pooled instance: token levels,
+// Authorization Stack levels, snapshots and result nodes are recycled
+// within a run and kept across runs. The previous run's Result remains
+// valid (finalize exports the view into fresh nodes).
 func (e *Evaluator) Reset(reader xmlstream.EventReader, cp *CompiledPolicy, opts Options) {
 	e.reader = reader
 	e.opts = opts
@@ -153,6 +158,7 @@ func (e *Evaluator) Reset(reader xmlstream.EventReader, cp *CompiledPolicy, opts
 	e.blanketPermitDepth = 0
 	e.nextSerial = 0
 	e.serials = e.serials[:0]
+	clear(e.authLevels)
 	e.authLevels = e.authLevels[:0]
 
 	// The rule table copies the (small) compiledRule headers into
@@ -184,11 +190,10 @@ func (e *Evaluator) Reset(reader xmlstream.EventReader, cp *CompiledPolicy, opts
 	} else {
 		clear(e.anchorIndex)
 	}
-	if opts.Sink != nil {
-		e.builder = newSinkResultBuilder(opts.Sink, opts.DummyDeniedNames)
-	} else {
-		e.builder = newResultBuilder(opts.DummyDeniedNames)
+	if e.builder == nil {
+		e.builder = &resultBuilder{}
 	}
+	e.builder.reset(opts.Sink, opts.DummyDeniedNames, &e.levels)
 
 	if !opts.DisableSkipIndex {
 		if mp, ok := reader.(MetaProvider); ok {
@@ -223,19 +228,31 @@ func Evaluate(reader xmlstream.EventReader, policy *accessrule.Policy, opts Opti
 // delivery sink configured (Options.Sink) the view has already been streamed
 // out by the time Run returns and Result.View is nil.
 func (e *Evaluator) Run() (*Result, error) {
+	if err := e.scan(); err != nil {
+		return nil, err
+	}
+	return e.Finish()
+}
+
+// scan drives the reader to the end of the document. The loop itself is
+// charged to PhaseEval: the reader's decode and the evaluator's eval and
+// emit phases nest inside it, so the time between them (the hand-off of
+// each event) is attributed too instead of falling outside every phase.
+func (e *Evaluator) scan() error {
+	e.opts.Trace.Begin(trace.PhaseEval)
+	defer e.opts.Trace.End()
 	for {
 		ev, err := e.reader.Next()
 		if errors.Is(err, xmlstream.ErrEndOfDocument) {
-			break
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: reading document: %w", err)
+			return fmt.Errorf("core: reading document: %w", err)
 		}
 		if err := e.ProcessEvent(ev); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return e.Finish()
 }
 
 // Finish finalizes the result after the last event has been processed: the
@@ -300,16 +317,16 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 
 	if e.blanketPermitDepth > 0 {
 		// Whole-subtree Permit already decided: deliver without evaluation.
-		e.tokenStack = append(e.tokenStack, nil)
-		e.authLevels = append(e.authLevels, &authLevel{depth: depth})
+		e.tokenStack = append(e.tokenStack, e.nextTokenLevel(0))
+		e.authLevels = append(e.authLevels, e.levels.get(depth))
 		e.builder.openElement(ev.Name, Permit, Permit, nil, e.hasQuery)
 		e.metrics.NodesPermitted++
 		return nil
 	}
 
 	top := e.tokenStack[len(e.tokenStack)-1]
-	newLevel := make([]automaton.Token, 0, len(top))
-	var newEntries []*authEntry
+	newLevel := e.nextTokenLevel(len(top))
+	lvl := e.levels.get(depth)
 	// Query existence predicates satisfied by the element being opened are
 	// collected here and gated on the element's access decision after it has
 	// been computed (the query observes the authorized view only).
@@ -347,7 +364,8 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 				})
 			}
 			if path.IsFinal(nt.State) {
-				entry := &authEntry{rule: t.Rule, sign: rule.sign, query: rule.isQuery, depth: depth}
+				entry := lvl.addEntry()
+				entry.rule, entry.sign, entry.query, entry.depth = t.Rule, rule.sign, rule.isQuery, depth
 				for i, anchor := range nt.Anchors {
 					if anchor == 0 {
 						continue
@@ -356,7 +374,6 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 						entry.preds = append(entry.preds, inst)
 					}
 				}
-				newEntries = append(newEntries, entry)
 				e.metrics.AuthEntries++
 			} else {
 				newLevel = append(newLevel, nt)
@@ -387,7 +404,7 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 	}
 
 	e.tokenStack = append(e.tokenStack, newLevel)
-	e.authLevels = append(e.authLevels, &authLevel{depth: depth, entries: newEntries})
+	e.authLevels = append(e.authLevels, lvl)
 	if len(newLevel) > e.metrics.MaxTokenLevel {
 		e.metrics.MaxTokenLevel = len(newLevel)
 	}
@@ -405,8 +422,7 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 	combined := combine(ac, qs)
 	var snapshot []*authLevel
 	if combined == Pending {
-		snapshot = make([]*authLevel, len(e.authLevels))
-		copy(snapshot, e.authLevels)
+		snapshot = e.levels.snapshot(e.authLevels)
 	}
 	node := e.builder.openElement(ev.Name, combined, ac, snapshot, e.hasQuery)
 	switch combined {
@@ -514,6 +530,8 @@ func (e *Evaluator) processClose(ev xmlstream.Event) error {
 	e.builder.closeElement()
 	e.serials = e.serials[:len(e.serials)-1]
 	e.tokenStack = e.tokenStack[:len(e.tokenStack)-1]
+	e.levels.pop(e.authLevels[len(e.authLevels)-1])
+	e.authLevels[len(e.authLevels)-1] = nil
 	e.authLevels = e.authLevels[:len(e.authLevels)-1]
 
 	if e.blanketPermitDepth > 0 {
@@ -530,6 +548,17 @@ func (e *Evaluator) processClose(ev xmlstream.Event) error {
 		return e.maybeSuspendOrSkip(depth - 1)
 	}
 	return nil
+}
+
+// nextTokenLevel returns an empty token level for the element about to be
+// pushed, reusing the array a previous element at that depth left behind.
+func (e *Evaluator) nextTokenLevel(capHint int) []automaton.Token {
+	if n := len(e.tokenStack); n < cap(e.tokenStack) {
+		if lvl := e.tokenStack[:n+1][n]; lvl != nil && cap(lvl) >= capHint {
+			return lvl[:0]
+		}
+	}
+	return make([]automaton.Token, 0, capHint)
 }
 
 // ensureInstance creates (or returns) the predicate instance for a key.
@@ -564,6 +593,7 @@ func (e *Evaluator) registerWaiters(node *resultNode, snapshot []*authLevel) {
 			for _, inst := range entry.preds {
 				if !inst.resolved() {
 					inst.waiters = append(inst.waiters, node)
+					node.waits++
 				}
 			}
 		}
@@ -576,26 +606,34 @@ func (e *Evaluator) notifyWaiters(inst *predInstance) {
 	waiters := inst.waiters
 	inst.waiters = nil
 	for _, node := range waiters {
-		if node.state != stateUndecided && node.access != Pending {
-			continue
+		e.notifyWaiter(node)
+		if node.waits--; node.waits == 0 && node.released {
+			e.builder.release(node)
 		}
-		ac := decideLevels(node.snapshot)
-		qs := decideQuery(node.snapshot, node.hasQuery)
-		combined := combine(ac, qs)
-		if node.access == Pending && ac != Pending {
-			// Access decision resolved: release the query-predicate
-			// observations deferred under this element.
-			node.access = ac
-			e.resolveDeferrals(node)
-		}
-		if combined == Pending {
-			// Still pending on other instances; it stays registered with
-			// them (registration happened for every unresolved instance).
-			continue
-		}
-		if node.state == stateUndecided && e.builder.resolve(node, combined) {
-			e.metrics.PendingResolved++
-		}
+	}
+}
+
+// notifyWaiter re-evaluates the delivery condition of one waiting node.
+func (e *Evaluator) notifyWaiter(node *resultNode) {
+	if node.state != stateUndecided && node.access != Pending {
+		return
+	}
+	ac := decideLevels(node.snapshot)
+	qs := decideQuery(node.snapshot, node.hasQuery)
+	combined := combine(ac, qs)
+	if node.access == Pending && ac != Pending {
+		// Access decision resolved: release the query-predicate
+		// observations deferred under this element.
+		node.access = ac
+		e.resolveDeferrals(node)
+	}
+	if combined == Pending {
+		// Still pending on other instances; it stays registered with them
+		// (registration happened for every unresolved instance).
+		return
+	}
+	if node.state == stateUndecided && e.builder.resolve(node, combined) {
+		e.metrics.PendingResolved++
 	}
 }
 
@@ -708,7 +746,7 @@ func (e *Evaluator) maybeSuspendOrSkip(depth int) error {
 		}
 	}
 	// Suspend every navigational token: they cannot change the outcome.
-	var ptOnly []automaton.Token
+	ptOnly := top[:0]
 	for _, t := range top {
 		if !t.Path.IsNav() {
 			ptOnly = append(ptOnly, t)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"xmlac/internal/trace"
 	"xmlac/internal/xmlstream"
 )
 
@@ -119,7 +120,15 @@ type MultiEvaluator struct {
 	subjects []*multiSubject
 	stats    MultiStats
 	ran      bool
+
+	// trace, when non-nil, is charged the scan loop's own time as
+	// PhaseEval; each subject charges its evaluation to its own context.
+	trace *trace.Context
 }
+
+// SetTrace attaches the context the scan loop is charged to: the shared
+// context the reader and decoder report into.
+func (m *MultiEvaluator) SetTrace(t *trace.Context) { m.trace = t }
 
 // NewMultiEvaluator prepares a multicast scan over the shared reader
 // (typically the Skip-index decoder over the secure reader).
@@ -218,6 +227,8 @@ func (m *MultiEvaluator) liveCount() int {
 // the region's end (the document root is still open there), the stitching
 // layer finalizes them once after the last region.
 func (m *MultiEvaluator) scan() error {
+	m.trace.Begin(trace.PhaseEval)
+	defer m.trace.End()
 	live := m.liveCount()
 	for live > 0 {
 		if m.skipper != nil {
@@ -238,7 +249,12 @@ func (m *MultiEvaluator) scan() error {
 			return fmt.Errorf("core: reading document: %w", err)
 		}
 		m.stats.Events++
-		live -= m.dispatch(ev)
+		// The subjects charge their own contexts while handling the event;
+		// suspending the loop's phase keeps that time out of this one.
+		m.trace.End()
+		died := m.dispatch(ev)
+		m.trace.Begin(trace.PhaseEval)
+		live -= died
 	}
 	return nil
 }

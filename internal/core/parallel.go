@@ -541,6 +541,7 @@ func scanRegion(ctx context.Context, cfg *ParallelConfig, states []*parallelSubj
 		reader = &cancelScanner{RegionScanner: scanner, ctx: ctx}
 	}
 	m := NewMultiEvaluator(reader)
+	m.SetTrace(rctx)
 	captures := make([]*captureSink, len(regionSubjects))
 	for j, i := range regionSubjects {
 		st := states[i]

@@ -29,6 +29,12 @@ import (
 // cursor passes them, and subtrees whose decision is a definitive Deny are
 // dropped as soon as their element closes, so the terminal retains only the
 // still-pending fragments and the open path.
+//
+// Node recycling: a node leaves the skeleton once it is emitted and
+// input-closed (or dropped). It then goes back on the builder's free list,
+// unless a predicate instance still lists it as a waiter; in that case the
+// last notification recycles it. Only waiter lists hold node pointers
+// beyond the skeleton, so a recycled node is never observed again.
 
 // nodeState tracks the delivery state of one buffered element or text node.
 type nodeState int
@@ -88,6 +94,12 @@ type resultNode struct {
 	// the pending instances it waits on resolves.
 	snapshot []*authLevel
 	hasQuery bool
+
+	// waits counts the predicate-instance waiter lists that hold the node;
+	// released records that the builder is done with it. The node is
+	// recycled only when both allow it.
+	waits    int
+	released bool
 }
 
 // ErrUnbalancedResult is returned when Finalize is called while elements are
@@ -115,21 +127,72 @@ type resultBuilder struct {
 	// metrics
 	deliveredEarly int64 // nodes whose decision was known when first seen
 	deliveredLate  int64 // nodes delivered after a pending resolution
+
+	// levels recycles the snapshots of resolved nodes (nil when the builder
+	// is driven without an evaluator); free holds recycled nodes.
+	levels *levelPool
+	free   []*resultNode
 }
 
 // newResultBuilder returns a materializing builder: the view is collected
 // into a tree returned by finalize. It delivers through a TreeSink, so the
 // materialized path is a thin adapter over the same streaming emission.
 func newResultBuilder(dummyNames bool) *resultBuilder {
-	tree := xmlstream.NewTreeSink()
-	b := newSinkResultBuilder(tree, dummyNames)
-	b.tree = tree
+	b := &resultBuilder{}
+	b.reset(nil, dummyNames, nil)
 	return b
 }
 
-// newSinkResultBuilder returns a streaming builder delivering into sink.
-func newSinkResultBuilder(sink ViewSink, dummyNames bool) *resultBuilder {
-	return &resultBuilder{sink: sink, dummyNames: dummyNames}
+// reset re-arms the builder for a new run delivering into sink (a nil sink
+// materializes into a fresh TreeSink), keeping its free list and stack.
+func (b *resultBuilder) reset(sink ViewSink, dummyNames bool, levels *levelPool) {
+	var tree *xmlstream.TreeSink
+	if sink == nil {
+		tree = xmlstream.NewTreeSink()
+		sink = tree
+	}
+	clear(b.openStack)
+	*b = resultBuilder{
+		sink:       sink,
+		tree:       tree,
+		dummyNames: dummyNames,
+		openStack:  b.openStack[:0],
+		levels:     levels,
+		free:       b.free,
+	}
+}
+
+// newNode returns a zeroed node, recycled when one is free.
+func (b *resultBuilder) newNode() *resultNode {
+	if n := len(b.free); n > 0 {
+		nd := b.free[n-1]
+		b.free = b.free[:n-1]
+		return nd
+	}
+	return &resultNode{}
+}
+
+// release hands a node that left the skeleton back to the free list, or
+// marks it for recycling by the last waiter notification.
+func (b *resultBuilder) release(n *resultNode) {
+	n.released = true
+	if n.waits > 0 {
+		return
+	}
+	b.levels.release(n.snapshot)
+	clear(n.children)
+	*n = resultNode{children: n.children[:0], deferredQuery: n.deferredQuery[:0]}
+	b.free = append(b.free, n)
+}
+
+// releaseTree releases a dropped subtree.
+func (b *resultBuilder) releaseTree(n *resultNode) {
+	for _, c := range n.children {
+		if c != nil {
+			b.releaseTree(c)
+		}
+	}
+	b.release(n)
 }
 
 // openElement records an element with its (possibly pending) delivery
@@ -137,7 +200,8 @@ func newSinkResultBuilder(sink ViewSink, dummyNames bool) *resultBuilder {
 // node so the evaluator can register it as a waiter on unresolved predicate
 // instances.
 func (b *resultBuilder) openElement(name string, d, access Decision, snapshot []*authLevel, hasQuery bool) *resultNode {
-	n := &resultNode{name: name, parent: b.current, access: access}
+	n := b.newNode()
+	n.name, n.parent, n.access = name, b.current, access
 	switch d {
 	case Permit:
 		n.state = stateIncluded
@@ -169,7 +233,8 @@ func (b *resultBuilder) text(value string) {
 	if b.current == nil || b.current.state == stateExcluded {
 		return
 	}
-	n := &resultNode{isText: true, value: value, parent: b.current, state: b.current.state}
+	n := b.newNode()
+	n.isText, n.value, n.parent, n.state = true, value, b.current, b.current.state
 	b.current.children = append(b.current.children, n)
 }
 
@@ -194,6 +259,7 @@ func (b *resultBuilder) closeElement() {
 		// (not spliced) so the parent's emission index stays valid; the
 		// closing element is always the parent's most recent child.
 		n.parent.children[len(n.parent.children)-1] = nil
+		b.releaseTree(n)
 	}
 }
 
@@ -234,6 +300,7 @@ func (b *resultBuilder) resolve(n *resultNode, d Decision) bool {
 			c.state = n.state
 		}
 	}
+	b.levels.release(n.snapshot)
 	n.snapshot = nil
 	return true
 }
@@ -300,6 +367,7 @@ func (b *resultBuilder) settle(n *resultNode) bool {
 			}
 			n.children[n.next] = nil
 			n.next++
+			b.release(c)
 			continue
 		}
 		if !b.settle(c) {
@@ -307,6 +375,7 @@ func (b *resultBuilder) settle(n *resultNode) bool {
 		}
 		n.children[n.next] = nil
 		n.next++
+		b.release(c)
 	}
 	if n.next > 0 && n.next == len(n.children) {
 		// Every child so far is settled: recycle the slice so a long-open
@@ -379,7 +448,7 @@ func (b *resultBuilder) finalize() (*xmlstream.Node, error) {
 		return nil, b.err
 	}
 	if b.root != nil {
-		denyUnresolved(b.root)
+		b.denyUnresolved(b.root)
 		if !b.settle(b.root) && b.err == nil {
 			b.err = errors.New("core: internal error: view emission stalled at end of document")
 		}
@@ -399,9 +468,10 @@ func (b *resultBuilder) finalize() (*xmlstream.Node, error) {
 
 // denyUnresolved seals the fate of every node still undecided at the end of
 // the document: unresolved predicates are false, so the node is excluded.
-func denyUnresolved(n *resultNode) {
+func (b *resultBuilder) denyUnresolved(n *resultNode) {
 	if n.state == stateUndecided {
 		n.state = stateExcluded
+		b.levels.release(n.snapshot)
 		n.snapshot = nil
 	}
 	for i := n.next; i < len(n.children); i++ {
@@ -415,6 +485,6 @@ func denyUnresolved(n *resultNode) {
 			}
 			continue
 		}
-		denyUnresolved(c)
+		b.denyUnresolved(c)
 	}
 }

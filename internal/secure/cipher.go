@@ -121,11 +121,12 @@ func encryptBlockAt(block cipher.Block, dst, src []byte, blockIndex uint64) {
 	block.Encrypt(dst, tmp[:])
 }
 
-// decryptBlockAt reverses encryptBlockAt.
+// decryptBlockAt reverses encryptBlockAt. It decrypts straight into dst and
+// removes the position mask in place, so it needs no temporary (one would
+// escape to the heap through the cipher.Block interface).
 func decryptBlockAt(block cipher.Block, dst, src []byte, blockIndex uint64) {
-	var tmp [BlockSize]byte
-	block.Decrypt(tmp[:], src)
-	xorPosition(dst, tmp[:], blockIndex)
+	block.Decrypt(dst, src)
+	xorPosition(dst, dst, blockIndex)
 }
 
 // encryptPositionECB encrypts a whole buffer (length multiple of BlockSize)
@@ -180,15 +181,20 @@ func decryptCBCRange(block cipher.Block, ciphertext []byte, firstBlock uint64, p
 	out := make([]byte, len(ciphertext))
 	prevBlock := prev
 	for off := 0; off < len(ciphertext); off += BlockSize {
-		var tmp [BlockSize]byte
-		block.Decrypt(tmp[:], ciphertext[off:off+BlockSize])
-		for i := 0; i < BlockSize; i++ {
-			out[off+i] = tmp[i] ^ prevBlock[i]
-		}
+		decryptCBCBlock(block, out[off:off+BlockSize], ciphertext[off:off+BlockSize], prevBlock)
 		prevBlock = ciphertext[off : off+BlockSize]
 	}
 	_ = firstBlock
 	return out
+}
+
+// decryptCBCBlock decrypts one CBC block into dst given the preceding
+// ciphertext block (or the IV). dst must not overlap prev.
+func decryptCBCBlock(block cipher.Block, dst, ct, prev []byte) {
+	block.Decrypt(dst, ct)
+	for i := 0; i < BlockSize; i++ {
+		dst[i] ^= prev[i]
+	}
 }
 
 // pad pads data with zero bytes to a multiple of BlockSize.

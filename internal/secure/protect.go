@@ -170,22 +170,27 @@ func merkleRoot(chunk []byte, fragmentSize int) [DigestSize]byte {
 	return merkleCombine(leaves)
 }
 
-// merkleCombine folds leaf hashes pairwise up to the root.
+// merkleCombine folds leaf hashes pairwise up to the root. It folds in
+// place: level is overwritten, so the verifier can recombine over a reused
+// leaf slice without allocating.
 func merkleCombine(level [][DigestSize]byte) [DigestSize]byte {
 	if len(level) == 0 {
 		return sha1.Sum(nil)
 	}
-	for len(level) > 1 {
-		var next [][DigestSize]byte
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
-				continue
+	for n := len(level); n > 1; {
+		next := 0
+		for i := 0; i < n; i += 2 {
+			if i+1 == n {
+				level[next] = level[i]
+			} else {
+				var joined [2 * DigestSize]byte
+				copy(joined[:DigestSize], level[i][:])
+				copy(joined[DigestSize:], level[i+1][:])
+				level[next] = sha1.Sum(joined[:])
 			}
-			joined := append(append([]byte{}, level[i][:]...), level[i+1][:]...)
-			next = append(next, sha1.Sum(joined))
+			next++
 		}
-		level = next
+		n = next
 	}
 	return level[0]
 }

@@ -50,38 +50,46 @@ func (c *Costs) Add(o Costs) {
 // CiphertextRange call translates into network transfer, so the bytes the
 // Skip index avoids are bytes that never cross the wire.
 // It implements skipindex.ByteSource.
+//
+// Once its tables are warm, a Reader serves reads without allocating: the
+// plaintext is assembled in a reader-owned buffer and copied out by ReadAt,
+// cache entries are fixed-size arrays, and Merkle verification recombines
+// over a reused leaf slice. Bytes returned by the ChunkSource are only read,
+// never modified or retained beyond the documented snapshot contract.
 type Reader struct {
 	src   ChunkSource
 	man   Manifest
 	key   Key
 	block cipher.Block
+	// iv is the CBC initialization vector derived from key.
+	iv [BlockSize]byte
 
 	// verification state kept in the SOE: one entry per chunk already
-	// verified (CBC schemes) or per fragment already verified (ECB-MHT),
-	// plus the decrypted chunk digests and the fragment leaf hashes of the
-	// chunks being worked on (the SOE keeps the leaves of the current chunk,
+	// verified (CBC schemes) or per chunk being verified fragment by
+	// fragment (ECB-MHT, with the fragments already verified and the leaf
+	// hashes of the chunk: the SOE keeps the leaves of the current chunk,
 	// 8 x 20 bytes, well within its RAM budget, so sibling hashes are
-	// transferred at most once per chunk).
-	verifiedChunks    map[int]bool
-	verifiedFragments map[int]map[int]bool
-	digestCache       map[int][]byte
-	leafCache         map[int]map[int][DigestSize]byte
+	// transferred at most once per chunk), plus the decrypted chunk digests.
+	verifiedChunks map[int]bool
+	mhtChunks      map[int]*mhtChunk
+	mhtFree        []*mhtChunk
+	digestCache    map[int][]byte
 
 	// blockCache holds the most recently decrypted plaintext blocks so that
 	// the many small overlapping reads of the streaming decoder do not
 	// transfer and decrypt the same block twice. The capacity is a few
 	// hundred bytes, compatible with the SOE RAM budget; eviction is a cheap
 	// clock over a fixed-size table.
-	blockCache     map[int64][]byte
+	blockCache     map[int64][BlockSize]byte
 	blockCacheKeys []int64
 	blockCachePos  int
 
-	// justFetched marks the ciphertext blocks that the current ReadAt call
-	// already pulled into the SOE for integrity verification, so the
+	// justFetched lists the ciphertext block ranges that the current ReadAt
+	// call already pulled into the SOE for integrity verification, so the
 	// decryption step of the same call does not charge their transfer a
 	// second time (the SOE hashes and decrypts the incoming stream in one
 	// pass).
-	justFetched map[int64]bool
+	justFetched []blockRange
 
 	// ctCache keeps the ciphertext byte ranges of the last few fragments
 	// transferred for Merkle verification (ECB-MHT): subsequent reads inside
@@ -92,11 +100,67 @@ type Reader struct {
 	ctCacheKeys []int64
 	ctCachePos  int
 
+	// Scratch owned by the reader: out assembles the plaintext of one read,
+	// blk and prev hold one decrypted and one chaining block, and leaves is
+	// the Merkle recombination level.
+	out    []byte
+	blk    [BlockSize]byte
+	prev   [BlockSize]byte
+	leaves [][DigestSize]byte
+
 	costs Costs
 
 	// trace, when non-nil, charges decrypt/verify/hash-fetch time to the
 	// evaluation's phase timers. Cleared by Reset; set per evaluation.
 	trace *trace.Context
+}
+
+// blockRange is the half-open range [from, to) of block indexes.
+type blockRange struct{ from, to int64 }
+
+// mhtChunk is the ECB-MHT state of one chunk: the fragments verified so far
+// and the leaf hashes the SOE holds (have marks the valid ones).
+type mhtChunk struct {
+	verified []bool
+	have     []bool
+	leaves   [][DigestSize]byte
+}
+
+// grow sizes the chunk state for n fragments, keeping what it holds.
+func (c *mhtChunk) grow(n int) {
+	for len(c.verified) < n {
+		c.verified = append(c.verified, false)
+		c.have = append(c.have, false)
+		c.leaves = append(c.leaves, [DigestSize]byte{})
+	}
+}
+
+// chunkState returns the Merkle state of a chunk, taking a recycled one on
+// first touch.
+func (r *Reader) chunkState(chunk, numFrags int) *mhtChunk {
+	c := r.mhtChunks[chunk]
+	if c == nil {
+		if n := len(r.mhtFree); n > 0 {
+			c = r.mhtFree[n-1]
+			r.mhtFree = r.mhtFree[:n-1]
+		} else {
+			c = &mhtChunk{}
+		}
+		r.mhtChunks[chunk] = c
+	}
+	c.grow(numFrags)
+	return c
+}
+
+// fetchedInCall reports whether block b was already transferred by the
+// current ReadAt call.
+func (r *Reader) fetchedInCall(b int64) bool {
+	for _, rg := range r.justFetched {
+		if b >= rg.from && b < rg.to {
+			return true
+		}
+	}
+	return false
 }
 
 // ctCacheSize is the number of fragments of ciphertext the SOE retains
@@ -132,11 +196,6 @@ func (r *Reader) inCtCache(off int64) bool {
 // (512 bytes of RAM).
 const blockCacheSize = 64
 
-func (r *Reader) cacheGet(block int64) ([]byte, bool) {
-	b, ok := r.blockCache[block]
-	return b, ok
-}
-
 func (r *Reader) cachePut(block int64, plain []byte) {
 	if r.blockCacheKeys == nil {
 		r.blockCacheKeys = make([]int64, blockCacheSize)
@@ -149,7 +208,7 @@ func (r *Reader) cachePut(block int64, plain []byte) {
 	}
 	r.blockCacheKeys[r.blockCachePos] = block
 	r.blockCachePos = (r.blockCachePos + 1) % blockCacheSize
-	r.blockCache[block] = plain
+	r.blockCache[block] = [BlockSize]byte(plain)
 }
 
 // NewReader builds a secure reader over a chunk source (an in-memory
@@ -163,11 +222,11 @@ func NewReader(src ChunkSource, key Key) (*Reader, error) {
 }
 
 // Reset re-arms the reader over a (possibly different) chunk source and
-// key, reusing the verification and cache tables of the previous run instead
-// of reallocating them. The block cipher is rebuilt only when the key
-// changes. Reset makes the reader sync.Pool-friendly: a server evaluating
-// many views over protected documents pays the map allocations once per
-// pooled reader.
+// key, reusing the verification and cache tables and the scratch buffers of
+// the previous run instead of reallocating them. The block cipher is rebuilt
+// only when the key changes. Reset makes the reader sync.Pool-friendly: a
+// server evaluating many views over protected documents pays the table
+// allocations once per pooled reader.
 func (r *Reader) Reset(src ChunkSource, key Key) error {
 	if r.block == nil || !bytes.Equal(r.key, key) {
 		block, err := blockCipher(key)
@@ -176,24 +235,28 @@ func (r *Reader) Reset(src ChunkSource, key Key) error {
 		}
 		r.block = block
 		r.key = append(r.key[:0], key...)
+		copy(r.iv[:], cbcIV(r.key))
 	}
 	r.src = src
 	r.man = src.Manifest()
 	r.costs = Costs{}
-	r.justFetched = nil
+	r.justFetched = r.justFetched[:0]
 	r.trace = nil
 	if r.verifiedChunks == nil {
 		r.verifiedChunks = map[int]bool{}
-		r.verifiedFragments = map[int]map[int]bool{}
+		r.mhtChunks = map[int]*mhtChunk{}
 		r.digestCache = map[int][]byte{}
-		r.leafCache = map[int]map[int][DigestSize]byte{}
-		r.blockCache = map[int64][]byte{}
+		r.blockCache = map[int64][BlockSize]byte{}
 		r.ctCache = map[int64][2]int64{}
 	} else {
 		clear(r.verifiedChunks)
-		clear(r.verifiedFragments)
+		for _, c := range r.mhtChunks {
+			clear(c.verified)
+			clear(c.have)
+			r.mhtFree = append(r.mhtFree, c)
+		}
+		clear(r.mhtChunks)
 		clear(r.digestCache)
-		clear(r.leafCache)
 		clear(r.blockCache)
 		clear(r.ctCache)
 	}
@@ -233,7 +296,7 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	r.justFetched = nil
+	r.justFetched = r.justFetched[:0]
 	firstBlock := off / BlockSize
 	lastBlock := (off + int64(n) - 1) / BlockSize
 	plain, err := r.readBlocks(firstBlock, lastBlock)
@@ -248,7 +311,8 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // readBlocks returns the decrypted bytes of blocks [first, last] inclusive,
-// verifying integrity according to the scheme.
+// verifying integrity according to the scheme. The bytes live in the
+// reader's scratch buffer and are valid until the next read.
 func (r *Reader) readBlocks(first, last int64) ([]byte, error) {
 	start := first * BlockSize
 	end := (last + 1) * BlockSize
@@ -257,12 +321,12 @@ func (r *Reader) readBlocks(first, last int64) ([]byte, error) {
 	}
 	switch r.man.Scheme {
 	case SchemeECB:
-		return r.readECB(start, end, first)
+		return r.readECB(start, end)
 	case SchemeECBMHT:
 		if err := r.verifyMHT(start, end); err != nil {
 			return nil, err
 		}
-		return r.readECB(start, end, first)
+		return r.readECB(start, end)
 	case SchemeCBCSHA:
 		return r.readCBC(start, end, true)
 	case SchemeCBCSHAC:
@@ -275,30 +339,29 @@ func (r *Reader) readBlocks(first, last int64) ([]byte, error) {
 // readECB fetches and decrypts the ciphertext range with the position-XOR
 // ECB construction (random access, block granularity). Recently decrypted
 // blocks are served from the SOE-side block cache without re-transfer.
-func (r *Reader) readECB(start, end, firstBlock int64) ([]byte, error) {
+func (r *Reader) readECB(start, end int64) ([]byte, error) {
 	r.trace.Begin(trace.PhaseDecrypt)
 	defer r.trace.End()
-	out := make([]byte, 0, end-start)
+	out := r.out[:0]
 	for off := start; off < end; off += BlockSize {
 		blockIdx := off / BlockSize
-		if plain, ok := r.cacheGet(blockIdx); ok {
-			out = append(out, plain...)
+		if plain, ok := r.blockCache[blockIdx]; ok {
+			out = append(out, plain[:]...)
 			continue
 		}
 		ct, err := r.src.CiphertextRange(off, BlockSize)
 		if err != nil {
 			return nil, err
 		}
-		if !r.justFetched[blockIdx] && !r.inCtCache(off) {
+		if !r.fetchedInCall(blockIdx) && !r.inCtCache(off) {
 			r.costs.BytesTransferred += BlockSize
 		}
 		r.costs.BytesDecrypted += BlockSize
-		plain := make([]byte, BlockSize)
-		decryptBlockAt(r.block, plain, ct, uint64(blockIdx))
-		r.cachePut(blockIdx, plain)
-		out = append(out, plain...)
+		decryptBlockAt(r.block, r.blk[:], ct, uint64(blockIdx))
+		r.cachePut(blockIdx, r.blk[:])
+		out = append(out, r.blk[:]...)
 	}
-	_ = firstBlock
+	r.out = out
 	return out, nil
 }
 
@@ -313,11 +376,7 @@ func (r *Reader) verifyMHT(start, end int64) error {
 	fragSize := int64(r.man.FragmentSize)
 	for chunk := int(start / chunkSize); chunk <= int((end-1)/chunkSize); chunk++ {
 		cStart, cEnd := r.man.ChunkBounds(chunk)
-		frags := r.verifiedFragments[chunk]
-		if frags == nil {
-			frags = map[int]bool{}
-			r.verifiedFragments[chunk] = frags
-		}
+		st := r.chunkState(chunk, int((cEnd-cStart+fragSize-1)/fragSize))
 		// Fragments of this chunk overlapped by the requested range and not
 		// yet verified.
 		lo := start
@@ -328,19 +387,15 @@ func (r *Reader) verifyMHT(start, end int64) error {
 		if cEnd < hi {
 			hi = cEnd
 		}
-		var newFrags []int
-		for f := int((lo - cStart) / fragSize); f <= int((hi-1-cStart)/fragSize); f++ {
-			if !frags[f] {
-				newFrags = append(newFrags, f)
+		fLo, fHi := int((lo-cStart)/fragSize), int((hi-1-cStart)/fragSize)
+		fresh := 0
+		for f := fLo; f <= fHi; f++ {
+			if !st.verified[f] {
+				fresh++
 			}
 		}
-		if len(newFrags) == 0 {
+		if fresh == 0 {
 			continue
-		}
-		leaves := r.leafCache[chunk]
-		if leaves == nil {
-			leaves = map[int][DigestSize]byte{}
-			r.leafCache[chunk] = leaves
 		}
 		// The SOE receives each new fragment from the position of interest
 		// to the end of the fragment, together with the terminal's
@@ -348,10 +403,10 @@ func (r *Reader) verifyMHT(start, end int64) error {
 		// the leaf. The verification below still hashes the whole fragment
 		// (the prefix-state hand-off is modelled in the cost accounting);
 		// tampering anywhere in the fragment therefore remains detected.
-		if r.justFetched == nil {
-			r.justFetched = map[int64]bool{}
-		}
-		for _, f := range newFrags {
+		for f := fLo; f <= fHi; f++ {
+			if st.verified[f] {
+				continue
+			}
 			fStart := cStart + int64(f)*fragSize
 			fEnd := fStart + fragSize
 			if fEnd > cEnd {
@@ -373,13 +428,12 @@ func (r *Reader) verifyMHT(start, end int64) error {
 				// terminal.
 				r.costs.BytesTransferred += 24
 			}
-			for b := fetchFrom / BlockSize; b < fEnd/BlockSize; b++ {
-				r.justFetched[b] = true
-			}
+			r.justFetched = append(r.justFetched, blockRange{from: fetchFrom / BlockSize, to: fEnd / BlockSize})
 			// The transferred ciphertext stays in the SOE for the next few
 			// reads so it is not paid for twice.
 			r.ctCachePut(cStart/fragSize+int64(f), fetchFrom, fEnd)
-			leaves[f] = sha1.Sum(frag)
+			st.leaves[f] = sha1.Sum(frag)
+			st.have[f] = true
 			r.costs.FragmentsVerified++
 		}
 		// The terminal provides the hashes needed to recompute the root: a
@@ -394,9 +448,10 @@ func (r *Reader) verifyMHT(start, end int64) error {
 			return err
 		}
 		numFrags := len(all)
+		st.grow(numFrags)
 		missing := 0
 		for f := 0; f < numFrags; f++ {
-			if _, ok := leaves[f]; !ok {
+			if !st.have[f] {
 				missing++
 			}
 		}
@@ -406,16 +461,15 @@ func (r *Reader) verifyMHT(start, end int64) error {
 		}
 		r.costs.BytesTransferred += coPath * DigestSize
 		for f := 0; f < numFrags; f++ {
-			if _, ok := leaves[f]; !ok {
-				leaves[f] = all[f]
+			if !st.have[f] {
+				st.leaves[f] = all[f]
+				st.have[f] = true
 			}
 		}
-		// Recompute the root.
-		ordered := make([][DigestSize]byte, numFrags)
-		for f := 0; f < numFrags; f++ {
-			ordered[f] = leaves[f]
-		}
-		root := merkleCombine(ordered)
+		// Recompute the root over a scratch copy of the leaves (the fold
+		// overwrites its input).
+		r.leaves = append(r.leaves[:0], st.leaves[:numFrags]...)
+		root := merkleCombine(r.leaves)
 		r.costs.BytesHashed += int64(numFrags * DigestSize)
 		digest, err := r.chunkDigest(chunk)
 		if err != nil {
@@ -424,8 +478,8 @@ func (r *Reader) verifyMHT(start, end int64) error {
 		if !bytes.Equal(root[:], digest) {
 			return fmt.Errorf("%w: chunk %d Merkle root mismatch", ErrIntegrity, chunk)
 		}
-		for _, f := range newFrags {
-			frags[f] = true
+		for f := fLo; f <= fHi; f++ {
+			st.verified[f] = true
 		}
 		if !r.verifiedChunks[chunk] {
 			r.verifiedChunks[chunk] = true
@@ -462,7 +516,7 @@ func (r *Reader) chunkDigest(chunk int) ([]byte, error) {
 // but partial decryption).
 func (r *Reader) readCBC(start, end int64, hashPlaintext bool) ([]byte, error) {
 	chunkSize := int64(r.man.ChunkSize)
-	var out []byte
+	out := r.out[:0]
 	for chunk := int(start / chunkSize); chunk <= int((end-1)/chunkSize); chunk++ {
 		cStart, cEnd := r.man.ChunkBounds(chunk)
 		wholeChunkTransferred, err := r.verifyCBCChunk(chunk, hashPlaintext)
@@ -474,6 +528,7 @@ func (r *Reader) readCBC(start, end int64, hashPlaintext bool) ([]byte, error) {
 			return nil, err
 		}
 	}
+	r.out = out
 	return out, nil
 }
 
@@ -535,7 +590,7 @@ func (r *Reader) serveCBCRange(out []byte, cStart, cEnd, start, end int64, whole
 	}
 	// CBC random access needs the preceding ciphertext block.
 	firstBlock := lo / BlockSize
-	prev := make([]byte, BlockSize)
+	prev := r.prev[:]
 	if firstBlock > 0 {
 		pb, err := r.src.CiphertextRange((firstBlock-1)*BlockSize, BlockSize)
 		if err != nil {
@@ -546,13 +601,12 @@ func (r *Reader) serveCBCRange(out []byte, cStart, cEnd, start, end int64, whole
 			r.costs.BytesTransferred += BlockSize
 		}
 	} else {
-		iv := sha1.Sum(append([]byte("xmlac-iv"), r.key...))
-		copy(prev, iv[:BlockSize])
+		copy(prev, r.iv[:])
 	}
 	for off := lo; off < hi; off += BlockSize {
 		blockIdx := off / BlockSize
-		if plain, ok := r.cacheGet(blockIdx); ok {
-			out = append(out, plain...)
+		if plain, ok := r.blockCache[blockIdx]; ok {
+			out = append(out, plain[:]...)
 			continue
 		}
 		if !wholeChunkTransferred {
@@ -575,9 +629,9 @@ func (r *Reader) serveCBCRange(out []byte, cStart, cEnd, start, end int64, whole
 		if err != nil {
 			return nil, err
 		}
-		plain := decryptCBCRange(r.block, ct, uint64(blockIdx), prevBlock)
-		r.cachePut(blockIdx, plain)
-		out = append(out, plain...)
+		decryptCBCBlock(r.block, r.blk[:], ct, prevBlock)
+		r.cachePut(blockIdx, r.blk[:])
+		out = append(out, r.blk[:]...)
 	}
 	return out, nil
 }
@@ -595,16 +649,13 @@ func bitsLen(n int) int {
 func (r *Reader) decryptCBCChunk(chunk int) ([]byte, error) {
 	cStart, cEnd := r.man.ChunkBounds(chunk)
 	firstBlock := cStart / BlockSize
-	prev := make([]byte, BlockSize)
+	prev := r.iv[:]
 	if firstBlock > 0 {
 		pb, err := r.src.CiphertextRange((firstBlock-1)*BlockSize, BlockSize)
 		if err != nil {
 			return nil, err
 		}
-		copy(prev, pb)
-	} else {
-		iv := sha1.Sum(append([]byte("xmlac-iv"), r.key...))
-		copy(prev, iv[:BlockSize])
+		prev = pb
 	}
 	ct, err := r.src.CiphertextRange(cStart, cEnd-cStart)
 	if err != nil {

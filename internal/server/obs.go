@@ -100,7 +100,9 @@ func (sw *statusWriter) Flush() {
 
 // observe is the outermost middleware: it counts the request, assigns the
 // trace ID, echoes it, and emits one structured access-log line when the
-// handler returns.
+// handler returns. The span and the log line are recorded after the handler
+// returns, so they become visible then, not when the client has the
+// response; the observed counter marks that point.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
@@ -149,6 +151,10 @@ func (s *Server) observe(next http.Handler) http.Handler {
 			attrs = append(attrs, slog.String("subject", subject))
 		}
 		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", toAttrs(attrs)...)
+		s.observedMu.Lock()
+		s.observed++
+		s.observedCond.Broadcast()
+		s.observedMu.Unlock()
 	})
 }
 

@@ -26,6 +26,20 @@ func newLoggedServer(t *testing.T, opts Options) (*Server, *httptest.Server, *lo
 	return srv, ts, buf
 }
 
+// awaitBookkeeping blocks until every request the server has counted so far
+// has recorded its span and access-log line. That bookkeeping becomes
+// visible when the handler returns, which can be after the client has read
+// the whole response, so tests that inspect the log or GET /debug/trace
+// after a response wait here first (no sleeps, no retries).
+func awaitBookkeeping(srv *Server) {
+	want := srv.requests.Load()
+	srv.observedMu.Lock()
+	defer srv.observedMu.Unlock()
+	for srv.observed < want {
+		srv.observedCond.Wait()
+	}
+}
+
 // lockedBuffer makes the shared log buffer safe for the server's concurrent
 // handler goroutines.
 type lockedBuffer struct {
@@ -46,7 +60,7 @@ func (b *lockedBuffer) String() string {
 }
 
 func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
-	_, ts, buf := newLoggedServer(t, Options{})
+	srv, ts, buf := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
 	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
 
@@ -93,6 +107,7 @@ func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 		Subject string `json:"subject"`
 	}
 	var viewLine *line
+	awaitBookkeeping(srv)
 	sc := bufio.NewScanner(strings.NewReader(buf.String()))
 	for sc.Scan() {
 		var l line
@@ -117,7 +132,7 @@ func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 }
 
 func TestDebugTraceServesJSONLWithRequestIDs(t *testing.T) {
-	_, ts, _ := newLoggedServer(t, Options{})
+	srv, ts, _ := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
 	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
 
@@ -129,6 +144,7 @@ func TestDebugTraceServesJSONLWithRequestIDs(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	awaitBookkeeping(srv)
 	resp2, body := do(t, http.MethodGet, ts.URL+"/debug/trace?n=64", "")
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/trace: %d %s", resp2.StatusCode, body)
@@ -328,7 +344,7 @@ func traceLines(t *testing.T, body string) []struct {
 // client's trace ID with the client span as its parent; a hostile span
 // header is dropped instead of reflected.
 func TestServerSpansRecordParentLinkage(t *testing.T) {
-	_, ts, _ := newLoggedServer(t, Options{})
+	srv, ts, _ := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/docs/hospital/blob", nil)
@@ -340,6 +356,7 @@ func TestServerSpansRecordParentLinkage(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	awaitBookkeeping(srv)
 	resp2, body := do(t, http.MethodGet, ts.URL+"/debug/trace?id=link-probe", "")
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/trace?id=: %d %s", resp2.StatusCode, body)
@@ -368,6 +385,7 @@ func TestServerSpansRecordParentLinkage(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp3.Body.Close()
+	awaitBookkeeping(srv)
 	_, body = do(t, http.MethodGet, ts.URL+"/debug/trace?id=hostile-parent", "")
 	spans = traceLines(t, body)
 	if len(spans) != 1 || spans[0].Parent != "" {
@@ -378,13 +396,14 @@ func TestServerSpansRecordParentLinkage(t *testing.T) {
 // TestDebugTraceSinceFilter: ?since=SEQ returns only spans recorded after
 // that sequence number, so pollers resume where they left off.
 func TestDebugTraceSinceFilter(t *testing.T) {
-	_, ts, _ := newLoggedServer(t, Options{})
+	srv, ts, _ := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
 	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
 
 	if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("view: %d", resp.StatusCode)
 	}
+	awaitBookkeeping(srv)
 	_, body := do(t, http.MethodGet, ts.URL+"/debug/trace", "")
 	var mark uint64
 	for _, s := range traceLines(t, body) {
@@ -397,6 +416,7 @@ func TestDebugTraceSinceFilter(t *testing.T) {
 	}
 
 	// Nothing new yet: the filter returns no spans.
+	awaitBookkeeping(srv)
 	_, body = do(t, http.MethodGet, ts.URL+"/debug/trace?since="+strconv.FormatUint(mark, 10), "")
 	if spans := traceLines(t, body); len(spans) != 0 {
 		t.Fatalf("since=%d returned stale spans: %+v", mark, spans)
@@ -405,6 +425,7 @@ func TestDebugTraceSinceFilter(t *testing.T) {
 	if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("second view: %d", resp.StatusCode)
 	}
+	awaitBookkeeping(srv)
 	_, body = do(t, http.MethodGet, ts.URL+"/debug/trace?since="+strconv.FormatUint(mark, 10), "")
 	spans := traceLines(t, body)
 	if len(spans) == 0 {

@@ -119,9 +119,18 @@ type Server struct {
 	batchSubjects *trace.Histogram
 	viewWorkers   *trace.Histogram
 
-	requests   atomic.Int64
-	viewsOK    atomic.Int64
-	viewErrors atomic.Int64
+	requests atomic.Int64
+	viewsOK  atomic.Int64
+
+	// observed counts the requests whose trace span and access-log line
+	// are recorded; observedCond is signaled at each increment. A request's
+	// bookkeeping becomes visible when its handler returns, which can be
+	// after the client has read the whole response, so waiting for observed
+	// to reach requests is the barrier for reading the log or the span ring.
+	observedMu   sync.Mutex
+	observedCond sync.Cond
+	observed     int64
+	viewErrors   atomic.Int64
 
 	// update counters (PATCH /docs/{id} and the delta surface).
 	updatesOK        atomic.Int64
@@ -186,6 +195,7 @@ func Open(opts Options) (*Server, error) {
 		batchSubjects: trace.NewHistogram(batchSubjectsBounds...),
 		viewWorkers:   trace.NewHistogram(viewWorkersBounds...),
 	}
+	s.observedCond.L = &s.observedMu
 	if !opts.DisableTracing {
 		s.trace = xmlac.NewTrace(opts.TraceBufferSize)
 	}

@@ -155,10 +155,11 @@ func TestStoreTimestampsUseInjectedClock(t *testing.T) {
 // directly and logged real elapsed time regardless of the clock option.
 func TestAccessLogDurationUsesInjectedClock(t *testing.T) {
 	fc := newFakeClock()
-	_, ts, buf := newLoggedServer(t, Options{DisableCoalescing: true, clock: fc})
+	srv, ts, buf := newLoggedServer(t, Options{DisableCoalescing: true, clock: fc})
 	putDoc(t, ts, "doc", hospitalXML(2))
 	putPolicy(t, ts, "doc", "secretary", secretaryRulesJSON)
 	getOK(t, ts.URL+"/docs/doc/view?subject=secretary")
+	awaitBookkeeping(srv)
 
 	sawView := false
 	sc := bufio.NewScanner(strings.NewReader(buf.String()))

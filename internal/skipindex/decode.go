@@ -38,32 +38,120 @@ func (b bytesSource) Size() int64 { return int64(len(b)) }
 // NewBytesSource wraps an in-memory encoded document.
 func NewBytesSource(data []byte) ByteSource { return bytesSource(data) }
 
+// tagSet is one interned descendant-tag set: the tag ids (the parent
+// context for decoding an element's children) and the tag-name set handed to
+// the evaluator through CurrentDescendantTags. A set is immutable once
+// interned, so the evaluator and region workers may hold it freely.
+type tagSet struct {
+	ids  []int
+	tags map[string]struct{}
+}
+
+// internTable interns the descendant-tag sets of one tag dictionary. A
+// document has few distinct sets (the tag alphabet is small), so every
+// element after the first of its kind maps to an existing set instead of
+// building a fresh id slice and name map. The table is tied to its
+// dictionary and survives Reset as long as the dictionary does, so a pooled
+// decoder re-reading the same document pays for each set once.
+type internTable struct {
+	dict []string
+	// all is the virtual super-root's set: the full dictionary.
+	all *tagSet
+	// leaves holds the singleton set of each tag id, built on first use.
+	leaves []*tagSet
+	// sets holds the sets of internal elements keyed by their id bitmap.
+	sets map[string]*tagSet
+	// key is the scratch bitmap a lookup is built in.
+	key []byte
+}
+
+func newInternTable(dict []string) *internTable {
+	t := &internTable{
+		dict:   dict,
+		leaves: make([]*tagSet, len(dict)),
+		sets:   map[string]*tagSet{},
+		key:    make([]byte, (len(dict)+7)/8),
+	}
+	t.all = t.build(allIDs(len(dict)))
+	return t
+}
+
+func (t *internTable) build(ids []int) *tagSet {
+	s := &tagSet{ids: ids, tags: make(map[string]struct{}, len(ids))}
+	for _, id := range ids {
+		s.tags[t.dict[id]] = struct{}{}
+	}
+	return s
+}
+
+// leaf returns the set of a leaf element: its own tag only.
+func (t *internTable) leaf(id int) *tagSet {
+	if t.leaves[id] == nil {
+		t.leaves[id] = t.build([]int{id})
+	}
+	return t.leaves[id]
+}
+
+// lookup returns the set whose id bitmap is in t.key, interning it on first
+// use.
+func (t *internTable) lookup() *tagSet {
+	if s, ok := t.sets[string(t.key)]; ok {
+		return s
+	}
+	var ids []int
+	for id := range t.dict {
+		if t.key[id/8]&(1<<(id%8)) != 0 {
+			ids = append(ids, id)
+		}
+	}
+	s := t.build(ids)
+	t.sets[string(t.key)] = s
+	return s
+}
+
 // openElement is the decoder's per-open-element state (the paper's
 // SkipStack): everything needed to decode the children of the element and to
-// know where its encoding ends.
+// know where its encoding ends. The stack holds it by value, so opening an
+// element reuses a slot instead of allocating.
 type openElement struct {
-	name     string
-	descIDs  []int // descendant tag ids (parent context for the children)
-	size     uint64
-	endOff   int64
-	depth    int
-	descTags map[string]struct{}
+	name   string
+	set    *tagSet // descendant tags (parent context for the children)
+	size   uint64
+	endOff int64
+	depth  int
 }
 
 // Decoder streams a Skip-index encoded document as SAX-like events. It
 // implements xmlstream.EventReader, xmlstream.Skipper (constant-time subtree
 // skips driven by SubtreeSize) and the evaluator's MetaProvider interface
 // (descendant-tag sets driving rule filtering).
+//
+// Once warmed up a Decoder decodes without allocating, apart from one
+// string per text event: the open stack, the event queue, the meta and
+// varint buffers are reused, and descendant-tag sets are interned. Reset
+// re-arms it over another document, keeping all of that (and the intern
+// table, when the dictionary is unchanged). Event names are the
+// dictionary's strings and text values are fresh strings, so the events it
+// returns stay valid after the decoder moves on or is reset.
 type Decoder struct {
 	src  ByteSource
 	dict []string
+	tab  *internTable
 
 	off     int64
-	stack   []*openElement
-	pending []xmlstream.Event
+	stack   []openElement
+	pending []xmlstream.Event // queued events, pending[head:] not yet delivered
+	head    int
 
-	// last opened element metadata, exposed through CurrentDescendantTags.
-	lastOpened *openElement
+	// lastTags is the descendant-tag set of the last opened element, exposed
+	// through CurrentDescendantTags.
+	lastTags map[string]struct{}
+
+	// meta, vbuf and text are the scratch buffers of element metadata,
+	// varints and text bytes.
+	meta []byte
+	vbuf [10]byte
+	text []byte
 
 	// bytesRead counts the bytes actually fetched from the source (skipped
 	// bytes excluded); the SOE cost model charges communication and
@@ -80,7 +168,7 @@ type Decoder struct {
 	// reports end-of-document as soon as the position reaches it with only
 	// the root element still open, instead of decoding the root's remaining
 	// children. Zero means no limit (whole-document scan). Region decoders
-	// are built by NewRegionDecoder.
+	// are armed by NewRegionDecoder or ResetRegion.
 	limit int64
 
 	err error
@@ -94,60 +182,114 @@ func (d *Decoder) SetTrace(t *trace.Context) { d.trace = t }
 // NewDecoder parses the header and returns a Decoder positioned on the root
 // element.
 func NewDecoder(src ByteSource) (*Decoder, error) {
-	d := &Decoder{src: src, bytesTotal: src.Size()}
-	header := make([]byte, 4)
+	d := &Decoder{}
+	if err := d.Reset(src); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// rearm clears the per-scan state, keeping every buffer.
+func (d *Decoder) rearm(src ByteSource, bytesTotal int64) {
+	d.src = src
+	d.bytesTotal = bytesTotal
+	d.off = 0
+	d.stack = d.stack[:0]
+	clear(d.pending)
+	d.pending = d.pending[:0]
+	d.head = 0
+	d.lastTags = nil
+	d.bytesRead = 0
+	d.skippedByte = 0
+	d.trace = nil
+	d.limit = 0
+	d.err = nil
+}
+
+// Reset parses the header of src and positions the decoder on its root
+// element, like NewDecoder, but reuses the decoder's buffers and, when the
+// tag dictionary is the one it last decoded, its intern table. The trace
+// context is detached.
+func (d *Decoder) Reset(src ByteSource) error {
+	d.rearm(src, src.Size())
+	header := d.vbuf[:4]
 	if err := d.readFull(header, 0); err != nil {
 		// Keep the cause in the chain: a remote source's "document changed"
 		// error must stay recognizable through errors.Is for the re-sync
 		// retry above this pipeline.
-		return nil, fmt.Errorf("%w: short header: %w", ErrBadFormat, err)
+		return fmt.Errorf("%w: short header: %w", ErrBadFormat, err)
 	}
 	for i := range magic {
 		if header[i] != magic[i] {
-			return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+			return fmt.Errorf("%w: bad magic", ErrBadFormat)
 		}
 	}
 	off := int64(4)
 	nt, err := d.readUvarint(&off)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nt == 0 || nt > 1<<20 {
-		return nil, fmt.Errorf("%w: implausible dictionary size %d", ErrBadFormat, nt)
+		return fmt.Errorf("%w: implausible dictionary size %d", ErrBadFormat, nt)
 	}
-	d.dict = make([]string, nt)
-	for i := range d.dict {
+	// Compare the dictionary with the previous document's as it is read;
+	// only a different one is materialized (and gets a new intern table).
+	var prev, dict []string
+	if d.tab != nil && len(d.tab.dict) == int(nt) {
+		prev = d.tab.dict
+	} else {
+		dict = make([]string, nt)
+	}
+	for i := 0; i < int(nt); i++ {
 		l, err := d.readUvarint(&off)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if l > 4096 {
-			return nil, fmt.Errorf("%w: implausible tag length %d", ErrBadFormat, l)
+			return fmt.Errorf("%w: implausible tag length %d", ErrBadFormat, l)
 		}
-		buf := make([]byte, l)
+		buf := d.textBuf(int(l))
 		if err := d.readFull(buf, off); err != nil {
-			return nil, err
+			return err
 		}
 		off += int64(l)
-		d.dict[i] = string(buf)
+		if prev != nil {
+			if string(buf) == prev[i] {
+				continue
+			}
+			dict = make([]string, nt)
+			copy(dict, prev[:i])
+			prev = nil
+		}
+		dict[i] = string(buf)
 	}
+	if prev == nil {
+		d.tab = newInternTable(dict)
+	}
+	d.dict = d.tab.dict
 	bodyLen, err := d.readUvarint(&off)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int64(bodyLen) != d.bytesTotal-off {
-		return nil, fmt.Errorf("%w: body length %d does not match source size %d", ErrBadFormat, bodyLen, d.bytesTotal-off)
+		return fmt.Errorf("%w: body length %d does not match source size %d", ErrBadFormat, bodyLen, d.bytesTotal-off)
 	}
 	d.off = off
 	// Virtual super-root context: full dictionary, body length.
-	d.stack = []*openElement{{
-		name:    "",
-		descIDs: allIDs(len(d.dict)),
-		size:    bodyLen,
-		endOff:  d.bytesTotal,
-		depth:   0,
-	}}
-	return d, nil
+	d.stack = append(d.stack, openElement{
+		set:    d.tab.all,
+		size:   bodyLen,
+		endOff: d.bytesTotal,
+	})
+	return nil
+}
+
+// textBuf returns the text scratch buffer resized to n bytes.
+func (d *Decoder) textBuf(n int) []byte {
+	if cap(d.text) < n {
+		d.text = make([]byte, n)
+	}
+	return d.text[:n]
 }
 
 // Dictionary returns the tag dictionary of the document.
@@ -162,12 +304,10 @@ func (d *Decoder) BytesRead() int64 { return d.bytesRead }
 func (d *Decoder) BytesSkipped() int64 { return d.skippedByte }
 
 // CurrentDescendantTags implements the evaluator's MetaProvider: the tag set
-// of the subtree rooted at the most recently opened element.
+// of the subtree rooted at the most recently opened element. The set is
+// interned and must not be modified.
 func (d *Decoder) CurrentDescendantTags() (map[string]struct{}, bool) {
-	if d.lastOpened == nil {
-		return nil, false
-	}
-	return d.lastOpened.descTags, true
+	return d.lastTags, d.lastTags != nil
 }
 
 // Next implements xmlstream.EventReader.
@@ -178,9 +318,14 @@ func (d *Decoder) Next() (xmlstream.Event, error) {
 	d.trace.Begin(trace.PhaseDecode)
 	defer d.trace.End()
 	for {
-		if len(d.pending) > 0 {
-			ev := d.pending[0]
-			d.pending = d.pending[1:]
+		if d.head < len(d.pending) {
+			ev := d.pending[d.head]
+			d.pending[d.head] = xmlstream.Event{} // drop the queue's reference to the text
+			d.head++
+			if d.head == len(d.pending) {
+				d.pending = d.pending[:0]
+				d.head = 0
+			}
 			return ev, nil
 		}
 		if err := d.advance(); err != nil {
@@ -202,15 +347,15 @@ func (d *Decoder) advance() error {
 	}
 	// Close every element whose encoding is exhausted.
 	for len(d.stack) > 1 {
-		top := d.stack[len(d.stack)-1]
+		top := &d.stack[len(d.stack)-1]
 		if d.off < top.endOff {
 			break
 		}
 		if d.off > top.endOff {
 			return fmt.Errorf("%w: element <%s> overran its subtree size", ErrBadFormat, top.name)
 		}
-		d.stack = d.stack[:len(d.stack)-1]
 		d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Close, Name: top.name, Depth: top.depth})
+		d.stack = d.stack[:len(d.stack)-1]
 		return nil
 	}
 	if len(d.stack) == 1 {
@@ -224,52 +369,58 @@ func (d *Decoder) advance() error {
 // decodeElement decodes one element header (and its direct text) and queues
 // the Open and Text events.
 func (d *Decoder) decodeElement() error {
-	parent := d.stack[len(d.stack)-1]
+	parent := d.stack[len(d.stack)-1].set
+	parentSize := d.stack[len(d.stack)-1].size
 	start := d.off
 
-	metaWidthBits := 1 + int(bitsForCount(len(parent.descIDs))) + int(bitsFor(parent.size))
+	metaWidthBits := 1 + int(bitsForCount(len(parent.ids))) + int(bitsFor(parentSize))
 	// The TagArray is only present for internal elements, but its presence
 	// is known from the first bit; read the maximum meta size then re-parse.
-	maxMetaBytes := (metaWidthBits + len(parent.descIDs) + 7) / 8
-	buf := make([]byte, maxMetaBytes)
+	maxMetaBytes := (metaWidthBits + len(parent.ids) + 7) / 8
+	if cap(d.meta) < maxMetaBytes {
+		d.meta = make([]byte, maxMetaBytes)
+	}
+	buf := d.meta[:maxMetaBytes]
 	n, err := d.src.ReadAt(buf, start)
 	if n < len(buf) && err != nil && err != io.EOF {
 		return fmt.Errorf("%w: reading element meta: %w", ErrBadFormat, err)
 	}
-	buf = buf[:n]
-	r := newBitReader(buf)
+	r := bitReader{buf: buf[:n]}
 	isLeaf, ok := r.readBool()
 	if !ok {
 		return fmt.Errorf("%w: truncated element meta", ErrBadFormat)
 	}
-	tagIdx, ok := r.readBits(bitsForCount(len(parent.descIDs)))
+	tagIdx, ok := r.readBits(bitsForCount(len(parent.ids)))
 	if !ok {
 		return fmt.Errorf("%w: truncated tag index", ErrBadFormat)
 	}
-	if int(tagIdx) >= len(parent.descIDs) {
+	if int(tagIdx) >= len(parent.ids) {
 		return fmt.Errorf("%w: tag index %d out of range", ErrBadFormat, tagIdx)
 	}
-	tagID := parent.descIDs[tagIdx]
-	size, ok := r.readBits(bitsFor(parent.size))
+	tagID := parent.ids[tagIdx]
+	size, ok := r.readBits(bitsFor(parentSize))
 	if !ok {
 		return fmt.Errorf("%w: truncated subtree size", ErrBadFormat)
 	}
-	if size > parent.size {
-		return fmt.Errorf("%w: subtree size %d exceeds parent size %d", ErrBadFormat, size, parent.size)
+	if size > parentSize {
+		return fmt.Errorf("%w: subtree size %d exceeds parent size %d", ErrBadFormat, size, parentSize)
 	}
-	var descIDs []int
+	var set *tagSet
 	if !isLeaf {
-		for i := range parent.descIDs {
+		key := d.tab.key
+		clear(key)
+		for _, id := range parent.ids {
 			present, ok := r.readBool()
 			if !ok {
 				return fmt.Errorf("%w: truncated tag array", ErrBadFormat)
 			}
 			if present {
-				descIDs = append(descIDs, parent.descIDs[i])
+				key[id/8] |= 1 << (id % 8)
 			}
 		}
+		set = d.tab.lookup()
 	} else {
-		descIDs = []int{tagID}
+		set = d.tab.leaf(tagID)
 	}
 	r.align()
 	metaBytes := r.bytesConsumed()
@@ -285,7 +436,7 @@ func (d *Decoder) decodeElement() error {
 	}
 	var text string
 	if textLen > 0 {
-		tb := make([]byte, textLen)
+		tb := d.textBuf(int(textLen))
 		if err := d.readFull(tb, off); err != nil {
 			return err
 		}
@@ -294,25 +445,16 @@ func (d *Decoder) decodeElement() error {
 	}
 
 	depth := len(d.stack) // virtual super-root occupies index 0
-	el := &openElement{
-		name:    d.dict[tagID],
-		descIDs: descIDs,
-		size:    size,
-		endOff:  start + int64(size),
-		depth:   depth,
+	name := d.dict[tagID]
+	endOff := start + int64(size)
+	if endOff > d.bytesTotal {
+		return fmt.Errorf("%w: element <%s> extends past end of document", ErrBadFormat, name)
 	}
-	el.descTags = make(map[string]struct{}, len(descIDs))
-	for _, id := range descIDs {
-		el.descTags[d.dict[id]] = struct{}{}
-	}
-	if el.endOff > d.bytesTotal {
-		return fmt.Errorf("%w: element <%s> extends past end of document", ErrBadFormat, el.name)
-	}
-	d.stack = append(d.stack, el)
-	d.lastOpened = el
+	d.stack = append(d.stack, openElement{name: name, set: set, size: size, endOff: endOff, depth: depth})
+	d.lastTags = set.tags
 	d.off = off
 
-	d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Open, Name: el.name, Depth: depth})
+	d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Open, Name: name, Depth: depth})
 	if text != "" {
 		d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Text, Value: text, Depth: depth})
 	}
@@ -344,29 +486,29 @@ func (d *Decoder) SkipToClose(depth int) (int64, error) {
 	d.trace.Begin(trace.PhaseSkip)
 	defer d.trace.End()
 	// Find the element at that depth in the open stack.
-	var target *openElement
 	idx := -1
 	for i := len(d.stack) - 1; i >= 1; i-- {
 		if d.stack[i].depth == depth {
-			target = d.stack[i]
 			idx = i
 			break
 		}
 	}
-	if target == nil {
+	if idx < 0 {
 		return 0, fmt.Errorf("%w: no open element at depth %d", ErrBadFormat, depth)
 	}
-	skipped := target.endOff - d.off
+	skipped := d.stack[idx].endOff - d.off
 	if skipped < 0 {
 		skipped = 0
 	}
-	d.off = target.endOff
+	d.off = d.stack[idx].endOff
 	d.skippedByte += skipped
 	// Events already decoded but not yet delivered all belong to the skipped
 	// subtree: drop them. Elements below the target that the consumer has
 	// already opened still need their Close events, in innermost-first
 	// order, before the target's own Close.
+	clear(d.pending)
 	d.pending = d.pending[:0]
+	d.head = 0
 	for i := len(d.stack) - 1; i > idx; i-- {
 		d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Close, Name: d.stack[i].name, Depth: d.stack[i].depth})
 	}
@@ -389,9 +531,8 @@ func (d *Decoder) readFull(p []byte, off int64) error {
 
 // readUvarint reads a varint at *off, advancing it and counting the bytes.
 func (d *Decoder) readUvarint(off *int64) (uint64, error) {
-	buf := make([]byte, 10)
-	n, _ := d.src.ReadAt(buf, *off)
-	v, consumed := uvarint(buf[:n])
+	n, _ := d.src.ReadAt(d.vbuf[:], *off)
+	v, consumed := uvarint(d.vbuf[:n])
 	if consumed == 0 {
 		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrBadFormat, *off)
 	}

@@ -3,6 +3,7 @@ package skipindex
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xmlac/internal/xmlstream"
 )
@@ -37,11 +38,10 @@ type RegionPlan struct {
 
 	prefix []xmlstream.Event
 
-	rootName     string
-	rootDescIDs  []int
-	rootDescTags map[string]struct{}
-	rootSize     uint64
-	rootEndOff   int64
+	rootName   string
+	rootSet    *tagSet
+	rootSize   uint64
+	rootEndOff int64
 
 	bodySize      uint64
 	bytesTotal    int64
@@ -75,15 +75,14 @@ func PlanRegions(src ByteSource, maxRegions int) (*RegionPlan, error) {
 		return nil, fmt.Errorf("%w: document does not start with a root element", ErrBadFormat)
 	}
 	prefix := []xmlstream.Event{openEv}
-	prefix = append(prefix, d.pending...) // the root's direct-text event, if any
+	prefix = append(prefix, d.pending[d.head:]...) // the root's direct-text event, if any
 	root := d.stack[1]
 
 	p := &RegionPlan{
 		dict:          d.dict,
 		prefix:        prefix,
 		rootName:      root.name,
-		rootDescIDs:   root.descIDs,
-		rootDescTags:  root.descTags,
+		rootSet:       root.set,
 		rootSize:      root.size,
 		rootEndOff:    root.endOff,
 		bodySize:      d.stack[0].size,
@@ -97,9 +96,9 @@ func PlanRegions(src ByteSource, maxRegions int) (*RegionPlan, error) {
 	// Shallow child walk: each child's subtree size is in its metadata, so
 	// the extent chain [start, start+size) is readable without decoding any
 	// grandchild. Widths mirror decodeElement with the root as parent.
-	tagBits := bitsForCount(len(root.descIDs))
+	tagBits := bitsForCount(len(root.set.ids))
 	sizeBits := bitsFor(root.size)
-	maxMeta := (1 + int(tagBits) + int(sizeBits) + len(root.descIDs) + 7) / 8
+	maxMeta := (1 + int(tagBits) + int(sizeBits) + len(root.set.ids) + 7) / 8
 	type childExtent struct {
 		start int64
 		size  int64
@@ -119,7 +118,7 @@ func PlanRegions(src ByteSource, maxRegions int) (*RegionPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: truncated child tag index at offset %d", ErrBadFormat, off)
 		}
-		if int(tagIdx) >= len(root.descIDs) {
+		if int(tagIdx) >= len(root.set.ids) {
 			return nil, fmt.Errorf("%w: child tag index %d out of range at offset %d", ErrBadFormat, tagIdx, off)
 		}
 		size, ok := r.readBits(sizeBits)
@@ -183,7 +182,7 @@ func (p *RegionPlan) RootName() string { return p.rootName }
 // RootDescendantTags returns the descendant-tag set of the root element —
 // the MetaProvider answer a whole-document decoder would give right after
 // the root opens.
-func (p *RegionPlan) RootDescendantTags() map[string]struct{} { return p.rootDescTags }
+func (p *RegionPlan) RootDescendantTags() map[string]struct{} { return p.rootSet.tags }
 
 // RootSkipDistance returns the number of encoded bytes a SkipToClose at the
 // root (depth 1) jumps over when issued immediately after the prefix: the
@@ -209,33 +208,34 @@ func (p *RegionPlan) RegionCount() int { return len(p.regions) }
 // src must present the same encoded document the plan was built from; each
 // worker passes its own reader so decoders never share mutable state.
 func NewRegionDecoder(src ByteSource, p *RegionPlan, r int) (*Decoder, error) {
-	if r < 0 || r >= len(p.regions) {
-		return nil, fmt.Errorf("skipindex: region %d out of range (plan has %d)", r, len(p.regions))
-	}
-	root := &openElement{
-		name:     p.rootName,
-		descIDs:  p.rootDescIDs,
-		size:     p.rootSize,
-		endOff:   p.rootEndOff,
-		depth:    1,
-		descTags: p.rootDescTags,
-	}
-	d := &Decoder{
-		src:        src,
-		dict:       p.dict,
-		off:        p.regions[r].Start,
-		bytesTotal: p.bytesTotal,
-		limit:      p.regions[r].End,
-		lastOpened: root,
-	}
-	d.stack = []*openElement{
-		{
-			descIDs: allIDs(len(p.dict)),
-			size:    p.bodySize,
-			endOff:  p.bytesTotal,
-			depth:   0,
-		},
-		root,
+	d := &Decoder{}
+	if err := d.ResetRegion(src, p, r); err != nil {
+		return nil, err
 	}
 	return d, nil
+}
+
+// ResetRegion re-arms the decoder as NewRegionDecoder would, reusing its
+// buffers and, when the plan's dictionary is the one it last decoded, its
+// intern table. A region worker keeps one decoder across regions and scans.
+func (d *Decoder) ResetRegion(src ByteSource, p *RegionPlan, r int) error {
+	if r < 0 || r >= len(p.regions) {
+		return fmt.Errorf("skipindex: region %d out of range (plan has %d)", r, len(p.regions))
+	}
+	d.rearm(src, p.bytesTotal)
+	if d.tab == nil || !slices.Equal(d.tab.dict, p.dict) {
+		d.tab = newInternTable(p.dict)
+	}
+	d.dict = d.tab.dict
+	d.off = p.regions[r].Start
+	d.limit = p.regions[r].End
+	d.lastTags = p.rootSet.tags
+	// The root's set comes from the planning decoder's table; its children
+	// are interned in this decoder's own table, so workers share only
+	// immutable sets.
+	d.stack = append(d.stack,
+		openElement{set: d.tab.all, size: p.bodySize, endOff: p.bytesTotal},
+		openElement{name: p.rootName, set: p.rootSet, size: p.rootSize, endOff: p.rootEndOff, depth: 1},
+	)
+	return nil
 }

@@ -9,6 +9,11 @@ import (
 // Serializer writes an event stream back to textual XML. It implements
 // EventWriter and is used to materialize the authorized view delivered by the
 // access-control evaluator on the terminal side.
+//
+// Each piece (indentation, tag, text, newline) reaches the writer as one
+// Write call, assembled in a reused scratch buffer, so serializing does not
+// allocate per event whatever the writer (io.WriteString would copy every
+// string for a writer without WriteString).
 type Serializer struct {
 	w      io.Writer
 	Indent bool
@@ -19,6 +24,7 @@ type Serializer struct {
 	// always emit explicit open/close pairs for fidelity with the paper's
 	// structural rule.
 	bytesWritten int64
+	buf          []byte
 }
 
 // NewSerializer returns a Serializer writing to w.
@@ -36,22 +42,22 @@ func (s *Serializer) WriteEvent(ev Event) error {
 	}
 	switch ev.Kind {
 	case Open:
-		s.write(s.indentation())
-		s.write("<" + ev.Name + ">")
+		s.indentation()
+		s.tag("<", ev.Name)
 		s.depth++
 		if s.Indent {
 			s.write("\n")
 		}
 	case Text:
-		s.write(s.indentation())
+		s.indentation()
 		s.write(Escape(ev.Value))
 		if s.Indent {
 			s.write("\n")
 		}
 	case Close:
 		s.depth--
-		s.write(s.indentation())
-		s.write("</" + ev.Name + ">")
+		s.indentation()
+		s.tag("</", ev.Name)
 		if s.Indent {
 			s.write("\n")
 		}
@@ -61,18 +67,37 @@ func (s *Serializer) WriteEvent(ev Event) error {
 	return s.err
 }
 
-func (s *Serializer) indentation() string {
+func (s *Serializer) indentation() {
 	if !s.Indent || s.depth == 0 {
-		return ""
+		return
 	}
-	return strings.Repeat("  ", s.depth)
+	s.buf = s.buf[:0]
+	for i := 0; i < s.depth; i++ {
+		s.buf = append(s.buf, "  "...)
+	}
+	s.flush()
+}
+
+// tag writes open + name + ">".
+func (s *Serializer) tag(open, name string) {
+	s.buf = append(append(append(s.buf[:0], open...), name...), '>')
+	s.flush()
 }
 
 func (s *Serializer) write(str string) {
-	if s.err != nil || str == "" {
+	if str == "" {
 		return
 	}
-	n, err := io.WriteString(s.w, str)
+	s.buf = append(s.buf[:0], str...)
+	s.flush()
+}
+
+// flush writes the scratch buffer as one Write call.
+func (s *Serializer) flush() {
+	if s.err != nil {
+		return
+	}
+	n, err := s.w.Write(s.buf)
 	s.bytesWritten += int64(n)
 	if err != nil {
 		s.err = err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"xmlac/internal/core"
@@ -35,6 +36,15 @@ import (
 // workers so the greedy byte balancing can absorb skewed subtrees (a worker
 // that drew a cheap region picks up another instead of idling).
 const regionsPerWorker = 4
+
+// regionState is a region worker's secure reader and decoder, pooled across
+// regions and scans like evalState is for serial views.
+type regionState struct {
+	reader  secure.Reader
+	decoder skipindex.Decoder
+}
+
+var regionPool = sync.Pool{New: func() any { return &regionState{} }}
 
 // parallelFallback reports whether err means "this evaluation cannot ride
 // the parallel scan": the caller falls back to the serial pipeline, which is
@@ -79,7 +89,10 @@ func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers 
 	if plan.RegionCount() < 2 {
 		return nil, fmt.Errorf("%w: document has a single region", core.ErrNotParallelizable)
 	}
-	readers := make([]*secure.Reader, plan.RegionCount())
+	// Each region's reader costs are taken when its scan closes, and its
+	// machinery goes back to the pool.
+	states := make([]*regionState, plan.RegionCount())
+	costs := make([]secure.Costs, plan.RegionCount())
 	rctxs := make([]*itrace.Context, plan.RegionCount())
 	cfg := core.ParallelConfig{
 		Ctx:              ctx,
@@ -90,27 +103,34 @@ func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers 
 		RootDescTags:     plan.RootDescendantTags(),
 		RootSkipDistance: plan.RootSkipDistance(),
 		OpenRegion: func(r int) (core.RegionScanner, *itrace.Context, error) {
-			rd, err := secure.NewReader(prot, key)
-			if err != nil {
+			rs := regionPool.Get().(*regionState)
+			if err := rs.reader.Reset(prot, key); err != nil {
+				regionPool.Put(rs)
 				return nil, nil, err
 			}
-			dec, err := skipindex.NewRegionDecoder(rd, plan, r)
-			if err != nil {
+			if err := rs.decoder.ResetRegion(&rs.reader, plan, r); err != nil {
+				regionPool.Put(rs)
 				return nil, nil, err
 			}
 			var rctx *itrace.Context
 			if shared != nil {
 				rctx = shared.Fork()
-				rd.SetTrace(rctx)
-				dec.SetTrace(rctx)
+				rs.reader.SetTrace(rctx)
+				rs.decoder.SetTrace(rctx)
 			}
-			readers[r], rctxs[r] = rd, rctx
-			return dec, rctx, nil
+			states[r], rctxs[r] = rs, rctx
+			return &rs.decoder, rctx, nil
 		},
 		CloseRegion: func(r int) {
+			rs := states[r]
+			costs[r] = rs.reader.Costs()
 			if rctxs[r] != nil {
-				rctxs[r].Finish("region:"+strconv.Itoa(r), readers[r].Costs().BytesTransferred)
+				rctxs[r].Finish("region:"+strconv.Itoa(r), costs[r].BytesTransferred)
 			}
+			rs.reader.SetTrace(nil)
+			rs.decoder.SetTrace(nil)
+			states[r] = nil
+			regionPool.Put(rs)
 		},
 	}
 	outcomes, stats, err := core.RunParallel(cfg, subjects)
@@ -118,10 +138,8 @@ func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers 
 		return nil, err
 	}
 	res := &parallelScanResult{outcomes: outcomes, stats: stats, costs: planner.Costs()}
-	for r := range readers {
-		if readers[r] != nil {
-			res.costs.Add(readers[r].Costs())
-		}
+	for r := range costs {
+		res.costs.Add(costs[r])
 		if rctxs[r] != nil {
 			ph := breakdownFromPhases(rctxs[r].Phases())
 			res.regionPhases.Add(&ph)

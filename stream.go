@@ -9,7 +9,6 @@ import (
 	"xmlac/internal/core"
 	"xmlac/internal/remote"
 	"xmlac/internal/secure"
-	"xmlac/internal/skipindex"
 	itrace "xmlac/internal/trace"
 	"xmlac/internal/xmlstream"
 )
@@ -129,8 +128,8 @@ func runMultiViewPipeline(src secure.ChunkSource, key Key, views []CompiledView)
 	if err != nil {
 		return nil, err
 	}
-	decoder, err := skipindex.NewDecoder(st.reader)
-	if err != nil {
+	decoder := &st.decoder
+	if err := decoder.Reset(st.reader); err != nil {
 		return nil, err
 	}
 	multi := core.NewMultiEvaluator(decoder)
@@ -164,6 +163,7 @@ func runMultiViewPipeline(src secure.ChunkSource, key Key, views []CompiledView)
 	if shared != nil {
 		st.reader.SetTrace(shared)
 		decoder.SetTrace(shared)
+		multi.SetTrace(shared)
 		if ts, ok := src.(traceSetter); ok {
 			ts.SetTrace(shared)
 			defer ts.SetTrace(nil)
